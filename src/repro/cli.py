@@ -41,8 +41,8 @@ from repro.core.ctg import build_ctg
 from repro.core.hybrid import HybridExecutor
 from repro.core.optimize import prune_stylesheet_view
 from repro.core.tvq import build_tvq
-from repro.errors import DriverUnavailableError, ReproError
-from repro.relational.driver import BACKEND_NAMES, resolve_driver
+from repro.errors import ReproError
+from repro.relational.driver import BACKEND_NAMES
 from repro.relational.engine import Database
 from repro.resilience.faults import FLEET_FAULT_KINDS
 from repro.schema_tree.bulk_evaluator import BulkViewEvaluator
@@ -204,13 +204,16 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     percentiles, and plan-cache hit rate; ``--json`` records the full
     metrics (including per-request traces) for CI assertions.
 
-    Update-aware mode: ``--staleness`` and/or ``--writes-per-sec``
-    attach a :class:`~repro.maintenance.tracker.WriteTracker` (auto
-    capture) and a result cache governed by the given policy; a writer
-    thread applies the standard hotel write mix at the requested rate
-    while requests are served, and the report additionally shows the
-    freshness histogram, result-cache counters, and the maximum version
-    lag actually served. ``--maintenance delta`` recomputes stale
+    The backend comes from
+    :func:`~repro.frontend.app.build_hotel_backend`, the build path the
+    HTTP commands share. ``--writes-per-sec`` runs a writer thread
+    applying the standard hotel write mix while requests are served.
+    Update-aware mode: ``--staleness`` attaches a
+    :class:`~repro.maintenance.tracker.WriteTracker` and a result cache
+    governed by the given policy (a fleet requires one), and the report
+    additionally shows the freshness histogram, result-cache counters,
+    and the maximum version lag actually served; without it every
+    request is computed live. ``--maintenance delta`` recomputes stale
     entries incrementally (dirty schema nodes only, spliced into the
     cached document) instead of re-running the full plan;
     ``--maintenance fragment`` additionally serializes through the
@@ -240,87 +243,22 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     import threading as _threading
     import time as _time
 
-    from repro.serving import OUTCOMES, PublishRequest, ViewServer, percentile
-    from repro.workloads.hotel import HotelDataSpec, build_hotel_database
+    from repro.frontend.app import build_hotel_backend
+    from repro.serving import OUTCOMES, PublishRequest, percentile
     from repro.workloads.paper import (
         figure1_view,
         figure4_stylesheet,
         figure17_stylesheet,
     )
 
-    update_aware = args.staleness is not None or args.writes_per_sec > 0
-    faults = None
-    if (
-        args.faults > 0
-        or args.fault_latency_rate > 0
-        or args.fault_wrong_rate > 0
-        or args.fault_compile_rate > 0
-    ):
-        from repro.resilience import FaultPlan, FaultSpec
-
-        faults = FaultPlan(
-            FaultSpec(
-                error_rate=args.faults,
-                latency_rate=args.fault_latency_rate,
-                latency_ms=args.fault_latency_ms,
-                wrong_shape_rate=args.fault_wrong_rate,
-                compile_error_rate=args.fault_compile_rate,
-            ),
-            seed=args.fault_seed,
-        )
-    resilience = None
-    if (
-        args.deadline_ms is not None
-        or args.retries > 0
-        or args.breaker_threshold > 0
-        or args.queue_limit is not None
-        or args.no_degraded
-    ):
-        from repro.resilience import ResiliencePolicy
-
-        resilience = ResiliencePolicy(
-            deadline_ms=args.deadline_ms,
-            retries=args.retries,
-            breaker_threshold=args.breaker_threshold,
-            breaker_cooldown_ms=args.breaker_cooldown_ms,
-            queue_limit=args.queue_limit,
-            degraded=not args.no_degraded,
-        )
-    strategies = list(STRATEGIES) if args.strategy == "all" else [args.strategy]
+    options = _backend_options(args)
+    faults = options["faults"]
+    fleet_faults = options["fleet_faults"]
+    resilience = options["resilience"]
+    update_aware = args.staleness is not None
     sharded = args.shards > 1 or args.replicas > 0
-    fleet_faults = None
-    if args.fault_kind != "none":
-        if not sharded:
-            print(
-                "serve-bench: --fault-kind needs a fleet "
-                "(--shards > 1 or --replicas > 0)",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.resilience import FleetFaultPlan
-
-        fleet_faults = FleetFaultPlan.for_kind(
-            args.fault_kind,
-            rate=args.fleet_fault_rate,
-            seed=args.fault_seed,
-            window=args.fleet_fault_window,
-        )
-    try:
-        driver = resolve_driver(getattr(args, "backend", None))
-    except DriverUnavailableError as exc:
-        print(f"serve-bench: {exc}", file=sys.stderr)
-        return 2
-    db = build_hotel_database(
-        HotelDataSpec().scaled(args.scale), cross_thread=update_aware,
-        driver=driver,
-    )
-    tracker = None
-    auto_capture = driver.supports_auto_capture
-    if update_aware and not sharded:
-        from repro.maintenance import WriteTracker
-
-        tracker = WriteTracker()
-        db.attach_tracker(tracker, auto=auto_capture)
+    strategies = list(STRATEGIES) if args.strategy == "all" else [args.strategy]
+    db, server, write = build_hotel_backend(keep_xml=False, **options)
     view = figure1_view(db.catalog)
     stylesheets = [
         ("figure4", figure4_stylesheet()),
@@ -337,68 +275,13 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
                 view, stylesheet, strategy=strategy, label=f"{name}/{strategy}"
             )
         )
-    if sharded:
-        # Fleet mode: deal the hotel database by metro key range, one
-        # primary + N replicas per shard. A fault plan (if any) arms
-        # shard 0's primary only — its replicas are the failover path
-        # the chaos run exercises.
-        from repro.sharding import ShardRouter
-        from repro.workloads.hotel import hotel_partition_scheme
-
-        server = ShardRouter.build(
-            db.catalog,
-            db,
-            hotel_partition_scheme(),
-            args.shards,
-            replicas=args.replicas,
-            workers=args.workers,
-            staleness=args.staleness or "strict",
-            maintenance=args.maintenance,
-            fragment_policy=args.fragment_policy,
-            resilience=resilience,
-            faults=(
-                [faults] + [None] * (args.shards - 1)
-                if faults is not None
-                else None
-            ),
-            fleet_faults=fleet_faults,
-            replica_lag_ms=args.replica_lag_ms,
-            keep_xml=False,
-        )
-    else:
-        server = ViewServer(
-            db.catalog,
-            source=db,
-            workers=args.workers,
-            keep_xml=False,
-            tracker=tracker,
-            staleness=args.staleness or "strict",
-            maintenance=args.maintenance,
-            fragment_policy=args.fragment_policy,
-            resilience=resilience,
-            faults=faults,
-        )
     stop_writer = _threading.Event()
     writes_issued = [0]
 
     def write_loop() -> None:
-        from repro.maintenance import hotel_write
-
         interval = 1.0 / args.writes_per_sec
         while not stop_writer.wait(interval):
-            if sharded:
-                # One logical write, applied shard-locally everywhere:
-                # the write mix addresses rows by key predicates, so
-                # each shard's statements touch only rows it owns.
-                server.route_write(
-                    lambda source, shard_tracker: hotel_write(
-                        source, writes_issued[0], tracker=shard_tracker
-                    )
-                )
-            elif auto_capture:
-                hotel_write(db, writes_issued[0])  # auto capture records it
-            else:
-                hotel_write(db, writes_issued[0], tracker=tracker)
+            write(writes_issued[0])
             writes_issued[0] += 1
 
     writer = None
@@ -472,7 +355,7 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     p99 = percentile(latencies_ms, 99)
     print(
         f"serve-bench: scale={args.scale} workers={args.workers} "
-        f"backend={driver.name} requests={len(traces)} "
+        f"backend={db.driver.name} requests={len(traces)} "
         f"strategy={args.strategy}"
     )
     if sharded:
@@ -637,7 +520,7 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
             "config": {
                 "scale": args.scale,
                 "workers": args.workers,
-                "backend": driver.name,
+                "backend": db.driver.name,
                 "requests": args.requests,
                 "strategy": args.strategy,
                 "shards": args.shards,
@@ -675,6 +558,7 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
                 "leaked_connections": leaked_connections,
                 "leaked_threads": leaked_threads,
             },
+            "writes_issued": writes_issued[0],
             "traces": [trace.to_dict() for trace in traces],
         }
         if update_aware:
@@ -688,7 +572,6 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
             ]
             if "fragments" in metrics:
                 report["fragments"] = metrics["fragments"]
-            report["writes_issued"] = writes_issued[0]
             report["writes_tracked"] = metrics["tracker"]["total_writes"]
             report["max_hit_lag"] = max_hit_lag
         if sharded:
@@ -710,14 +593,16 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     return 1 if errors else 0
 
 
-def _frontend_app_from_args(args: argparse.Namespace):
-    """Build a :class:`~repro.frontend.app.PublishingApp` from CLI flags.
-
-    Shared by ``serve-http`` and ``load-bench`` so both front-end
-    commands assemble fault plans, resilience policies, and hedging
-    exactly the way ``serve-bench`` does.
-    """
-    from repro.frontend import HedgePolicy, build_hotel_app
+def _backend_options(args: argparse.Namespace) -> dict:
+    """:func:`~repro.frontend.app.build_hotel_backend` keyword arguments
+    from the shared build flags: the workload knobs plus the fault
+    plans and resilience policy they describe (``None`` when off)."""
+    from repro.resilience import (
+        FaultPlan,
+        FaultSpec,
+        FleetFaultPlan,
+        ResiliencePolicy,
+    )
 
     faults = None
     if (
@@ -726,8 +611,6 @@ def _frontend_app_from_args(args: argparse.Namespace):
         or args.fault_wrong_rate > 0
         or args.fault_compile_rate > 0
     ):
-        from repro.resilience import FaultPlan, FaultSpec
-
         faults = FaultPlan(
             FaultSpec(
                 error_rate=args.faults,
@@ -746,8 +629,6 @@ def _frontend_app_from_args(args: argparse.Namespace):
         or args.queue_limit is not None
         or args.no_degraded
     ):
-        from repro.resilience import ResiliencePolicy
-
         resilience = ResiliencePolicy(
             deadline_ms=args.deadline_ms,
             retries=args.retries,
@@ -756,6 +637,35 @@ def _frontend_app_from_args(args: argparse.Namespace):
             queue_limit=args.queue_limit,
             degraded=not args.no_degraded,
         )
+    fleet_faults = None
+    if args.fault_kind != "none":
+        fleet_faults = FleetFaultPlan.for_kind(
+            args.fault_kind,
+            rate=args.fleet_fault_rate,
+            seed=args.fault_seed,
+            window=args.fleet_fault_window,
+        )
+    return {
+        "scale": args.scale,
+        "workers": args.workers,
+        "backend": args.backend,
+        "staleness": args.staleness,
+        "maintenance": args.maintenance,
+        "fragment_policy": args.fragment_policy,
+        "shards": args.shards,
+        "replicas": args.replicas,
+        "replica_lag_ms": args.replica_lag_ms,
+        "resilience": resilience,
+        "faults": faults,
+        "fleet_faults": fleet_faults,
+    }
+
+
+def _frontend_app_from_args(args: argparse.Namespace):
+    """The :class:`~repro.frontend.app.PublishingApp` the HTTP commands
+    serve: the shared build flags plus the hedging flags."""
+    from repro.frontend import HedgePolicy, build_hotel_app
+
     hedge = None
     if args.hedge:
         hedge = HedgePolicy(
@@ -766,39 +676,12 @@ def _frontend_app_from_args(args: argparse.Namespace):
                 p.strip() for p in args.hedge_priorities.split(",") if p.strip()
             ),
         )
-    fleet_faults = None
-    if args.fault_kind != "none":
-        if not (args.shards > 1 or args.replicas > 0):
-            raise ReproError(
-                "--fault-kind needs a fleet (--shards > 1 or --replicas > 0)"
-            )
-        from repro.resilience import FleetFaultPlan
-
-        fleet_faults = FleetFaultPlan.for_kind(
-            args.fault_kind,
-            rate=args.fleet_fault_rate,
-            seed=args.fault_seed,
-            window=args.fleet_fault_window,
-        )
-    return build_hotel_app(
-        scale=args.scale,
-        workers=args.workers,
-        staleness=args.staleness,
-        maintenance=args.maintenance,
-        fragment_policy=args.fragment_policy,
-        resilience=resilience,
-        faults=faults,
-        hedge=hedge,
-        shards=args.shards,
-        replicas=args.replicas,
-        replica_lag_ms=args.replica_lag_ms,
-        fleet_faults=fleet_faults,
-        backend=getattr(args, "backend", None),
-    )
+    return build_hotel_app(hedge=hedge, **_backend_options(args))
 
 
-def _add_frontend_build_args(parser: argparse.ArgumentParser) -> None:
-    """The workload/resilience/hedging flags both front-end commands share."""
+def _add_build_args(parser: argparse.ArgumentParser) -> None:
+    """The workload, fleet, fault and resilience flags of every serving
+    command (``serve-bench``, ``serve-http``, ``load-bench``)."""
     parser.add_argument("--scale", type=int, default=2,
                         help="hotel workload scale factor (default: 2)")
     parser.add_argument("--workers", type=int, default=4,
@@ -809,34 +692,45 @@ def _add_frontend_build_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--staleness", metavar="POLICY",
-        help="result-cache staleness policy: strict, manual, or bounded:N",
+        help="result-cache staleness policy: strict, manual, or bounded:N "
+        "(turns on write tracking and result caching; a fleet needs one)",
     )
     parser.add_argument(
         "--maintenance", default="full",
         choices=["full", "delta", "fragment"],
-        help="stale-result recompute mode (default: full)",
+        help="how stale results are recomputed: re-run the full plan, "
+        "delta (re-execute only dirty schema nodes and splice; falls "
+        "back to full when unsafe), or fragment (delta plus the "
+        "serialized-fragment byte cache)",
     )
     parser.add_argument(
         "--fragment-policy", default="all", metavar="POLICY",
-        help="fragment pinning policy for --maintenance fragment",
+        help="fragment pinning policy for --maintenance fragment: all, "
+        "none, auto, or auto:BYTES (default: all)",
     )
     parser.add_argument(
         "--shards", type=int, default=1, metavar="N",
-        help="serve through an N-shard scatter/merge fleet (default: 1)",
+        help="partition the workload by metro key range into N shards "
+        "served by a scatter/merge router (default: 1 = single box)",
     )
     parser.add_argument(
         "--replicas", type=int, default=0, metavar="M",
-        help="read replicas per shard (default: 0)",
+        help="read replicas per shard (snapshot clones balanced "
+        "round-robin with failover; implies router mode; default: 0)",
     )
     parser.add_argument(
         "--replica-lag-ms", type=float, default=0.0, metavar="MS",
-        help="delay each replica's catch-up apply loop by MS "
-        "(default: 0 = apply writes inline)",
+        help="delay each replica's catch-up apply loop by MS so "
+        "replicas genuinely lag the primary (default: 0 = apply "
+        "writes inline)",
     )
     parser.add_argument(
         "--fault-kind", default="none",
         choices=["none"] + list(FLEET_FAULT_KINDS),
-        help="fleet-scoped fault to inject (default: none)",
+        help="fleet-scoped fault to inject: replica-crash (a replica's "
+        "pool refuses new sessions), apply-stall (a replica's catch-up "
+        "loop freezes), or partition (the primary stays writable but "
+        "unreadable); default: none",
     )
     parser.add_argument(
         "--fleet-fault-rate", type=float, default=0.5, metavar="RATE",
@@ -845,11 +739,13 @@ def _add_frontend_build_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--fleet-fault-window", type=int, default=8, metavar="N",
-        help="checks per fleet-fault window (default: 8)",
+        help="checks per fleet-fault window; a whole window is faulted "
+        "or clean together (default: 8)",
     )
     parser.add_argument(
         "--faults", type=float, default=0.0, metavar="RATE",
-        help="inject transient sqlite errors into RATE of pooled queries",
+        help="inject transient sqlite errors into RATE of pooled queries "
+        "(deterministic given --fault-seed)",
     )
     parser.add_argument(
         "--fault-latency-rate", type=float, default=0.0, metavar="RATE",
@@ -861,7 +757,7 @@ def _add_frontend_build_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--fault-wrong-rate", type=float, default=0.0, metavar="RATE",
-        help="drop a result column from RATE of queries",
+        help="drop a result column from RATE of queries (wrong-shape)",
     )
     parser.add_argument(
         "--fault-compile-rate", type=float, default=0.0, metavar="RATE",
@@ -869,7 +765,7 @@ def _add_frontend_build_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--fault-seed", type=int, default=0,
-        help="seed for the deterministic fault schedule (default: 0)",
+        help="seed for the deterministic fault schedules (default: 0)",
     )
     parser.add_argument(
         "--deadline-ms", type=float, default=None, metavar="MS",
@@ -877,24 +773,31 @@ def _add_frontend_build_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--retries", type=int, default=0,
-        help="retry budget for transient failures",
+        help="retry budget for transient failures (exponential backoff)",
     )
     parser.add_argument(
         "--breaker-threshold", type=int, default=0, metavar="N",
-        help="consecutive failures that open a plan's breaker (0 off)",
+        help="consecutive failures that open a plan's circuit breaker "
+        "(0 disables)",
     )
     parser.add_argument(
         "--breaker-cooldown-ms", type=float, default=1000.0, metavar="MS",
-        help="open-breaker cooldown before half-open trials",
+        help="open-breaker cooldown before a half-open trial "
+        "(default: 1000)",
     )
     parser.add_argument(
         "--queue-limit", type=int, default=None, metavar="N",
-        help="shed requests beyond the priority-scaled admission limit",
+        help="shed requests beyond the priority-scaled admission limit "
+        "of workers+N in flight (default: unbounded)",
     )
     parser.add_argument(
         "--no-degraded", action="store_true",
-        help="disable the degraded-stale fallback",
+        help="disable the degraded-stale fallback (failures error instead)",
     )
+
+
+def _add_hedge_args(parser: argparse.ArgumentParser) -> None:
+    """The hedging flags of the HTTP commands."""
     parser.add_argument(
         "--hedge", action="store_true",
         help="enable hedged requests (second attempt past the rolling "
@@ -921,6 +824,15 @@ def _add_frontend_build_args(parser: argparse.ArgumentParser) -> None:
         help="comma-separated priority classes eligible to hedge "
         "(default: all; 'interactive' spends the budget on the "
         "latency-sensitive class only)",
+    )
+
+
+def _add_writes_arg(parser: argparse.ArgumentParser) -> None:
+    """``--writes-per-sec``, for the commands that drive writes."""
+    parser.add_argument(
+        "--writes-per-sec", type=float, default=0.0, metavar="RATE",
+        help="apply the standard hotel write mix at RATE writes/second "
+        "while serving (default: 0)",
     )
 
 
@@ -1185,76 +1097,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser = sub.add_parser(
         "serve-bench", help="benchmark the concurrent publishing server"
     )
-    serve_parser.add_argument("--scale", type=int, default=2,
-                              help="hotel workload scale factor (default: 2)")
-    serve_parser.add_argument("--workers", type=int, default=4,
-                              help="worker threads / pooled connections")
-    serve_parser.add_argument(
-        "--backend", default="sqlite", choices=list(BACKEND_NAMES),
-        help="storage engine the workload runs on (default: sqlite)",
-    )
+    _add_build_args(serve_parser)
+    _add_writes_arg(serve_parser)
     serve_parser.add_argument("--requests", type=int, default=100,
                               help="total requests to serve")
     serve_parser.add_argument(
         "--strategy", default="all", choices=["all"] + list(STRATEGIES),
         help="execution strategy mix (default: cycle through all)",
-    )
-    serve_parser.add_argument(
-        "--writes-per-sec", type=float, default=0.0, metavar="RATE",
-        help="apply the standard hotel write mix at RATE writes/second "
-        "from a background thread (implies update-aware serving)",
-    )
-    serve_parser.add_argument(
-        "--staleness", metavar="POLICY",
-        help="result-cache staleness policy: strict, manual, or bounded:N "
-        "(enables update-aware serving; default off)",
-    )
-    serve_parser.add_argument(
-        "--maintenance", default="full",
-        choices=["full", "delta", "fragment"],
-        help="how stale results are recomputed: re-run the full plan, "
-        "delta (re-execute only dirty schema nodes and splice; falls "
-        "back to full when unsafe), or fragment (delta plus the "
-        "serialized-fragment byte cache)",
-    )
-    serve_parser.add_argument(
-        "--fragment-policy", default="all", metavar="POLICY",
-        help="fragment pinning policy for --maintenance fragment: all, "
-        "none, auto, or auto:BYTES (default: all)",
-    )
-    serve_parser.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="partition the workload by metro key range into N shards "
-        "served by a scatter/merge router (default: 1 = single box)",
-    )
-    serve_parser.add_argument(
-        "--replicas", type=int, default=0, metavar="M",
-        help="read replicas per shard (snapshot clones balanced "
-        "round-robin with failover; implies router mode; default: 0)",
-    )
-    serve_parser.add_argument(
-        "--replica-lag-ms", type=float, default=0.0, metavar="MS",
-        help="delay each replica's catch-up apply loop by MS so "
-        "replicas genuinely lag the primary (default: 0 = apply "
-        "writes inline)",
-    )
-    serve_parser.add_argument(
-        "--fault-kind", default="none",
-        choices=["none"] + list(FLEET_FAULT_KINDS),
-        help="fleet-scoped fault to inject: replica-crash (a replica's "
-        "pool refuses new sessions), apply-stall (a replica's catch-up "
-        "loop freezes), or partition (the primary stays writable but "
-        "unreadable); default: none",
-    )
-    serve_parser.add_argument(
-        "--fleet-fault-rate", type=float, default=0.5, metavar="RATE",
-        help="fraction of fault-site windows the fleet fault is active "
-        "in (default: 0.5)",
-    )
-    serve_parser.add_argument(
-        "--fleet-fault-window", type=int, default=8, metavar="N",
-        help="checks per fleet-fault window; a whole window is faulted "
-        "or clean together (default: 8)",
     )
     serve_parser.add_argument(
         "--view-only", action="store_true",
@@ -1267,60 +1116,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(query/merge/serialize/splice) over computed requests",
     )
     serve_parser.add_argument(
-        "--faults", type=float, default=0.0, metavar="RATE",
-        help="inject transient sqlite errors into RATE of pooled queries "
-        "(deterministic given --fault-seed)",
-    )
-    serve_parser.add_argument(
-        "--fault-latency-rate", type=float, default=0.0, metavar="RATE",
-        help="inject --fault-latency-ms of delay into RATE of queries",
-    )
-    serve_parser.add_argument(
-        "--fault-latency-ms", type=float, default=20.0, metavar="MS",
-        help="injected latency per latency fault (default: 20)",
-    )
-    serve_parser.add_argument(
-        "--fault-wrong-rate", type=float, default=0.0, metavar="RATE",
-        help="drop a result column from RATE of queries (wrong-shape)",
-    )
-    serve_parser.add_argument(
-        "--fault-compile-rate", type=float, default=0.0, metavar="RATE",
-        help="fail RATE of plan compilations",
-    )
-    serve_parser.add_argument(
-        "--fault-seed", type=int, default=0,
-        help="seed for the deterministic fault schedule (default: 0)",
-    )
-    serve_parser.add_argument(
         "--warmup", type=int, default=0, metavar="N",
         help="serve N requests with faults disarmed before measuring "
         "(populates plan/result caches)",
-    )
-    serve_parser.add_argument(
-        "--deadline-ms", type=float, default=None, metavar="MS",
-        help="per-request deadline (cooperative cancel + hard interrupt)",
-    )
-    serve_parser.add_argument(
-        "--retries", type=int, default=0,
-        help="retry budget for transient failures (exponential backoff)",
-    )
-    serve_parser.add_argument(
-        "--breaker-threshold", type=int, default=0, metavar="N",
-        help="consecutive failures that open a plan's circuit breaker "
-        "(0 disables)",
-    )
-    serve_parser.add_argument(
-        "--breaker-cooldown-ms", type=float, default=1000.0, metavar="MS",
-        help="open-breaker cooldown before a half-open trial "
-        "(default: 1000)",
-    )
-    serve_parser.add_argument(
-        "--queue-limit", type=int, default=None, metavar="N",
-        help="shed requests beyond workers+N in flight (default: unbounded)",
-    )
-    serve_parser.add_argument(
-        "--no-degraded", action="store_true",
-        help="disable the degraded-stale fallback (failures error instead)",
     )
     serve_parser.add_argument("--json", metavar="PATH",
                               help="write full metrics as JSON")
@@ -1329,7 +1127,8 @@ def build_parser() -> argparse.ArgumentParser:
     http_parser = sub.add_parser(
         "serve-http", help="run the async HTTP publishing front end"
     )
-    _add_frontend_build_args(http_parser)
+    _add_build_args(http_parser)
+    _add_hedge_args(http_parser)
     http_parser.add_argument("--host", default="127.0.0.1",
                              help="bind address (default: 127.0.0.1)")
     http_parser.add_argument("--port", type=int, default=8472,
@@ -1345,7 +1144,9 @@ def build_parser() -> argparse.ArgumentParser:
     load_parser = sub.add_parser(
         "load-bench", help="drive the HTTP front end over real sockets"
     )
-    _add_frontend_build_args(load_parser)
+    _add_build_args(load_parser)
+    _add_hedge_args(load_parser)
+    _add_writes_arg(load_parser)
     load_parser.add_argument("--requests", type=int, default=100,
                              help="total publish requests (default: 100)")
     load_parser.add_argument("--connections", type=int, default=8,
@@ -1361,10 +1162,6 @@ def build_parser() -> argparse.ArgumentParser:
     load_parser.add_argument(
         "--background", type=float, default=0.2, metavar="WEIGHT",
         help="background-class traffic weight (default: 0.2)",
-    )
-    load_parser.add_argument(
-        "--writes-per-sec", type=float, default=0.0, metavar="RATE",
-        help="apply the hotel write mix at RATE while serving",
     )
     load_parser.add_argument("--json", metavar="PATH",
                              help="write the full report as JSON")

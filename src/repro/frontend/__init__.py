@@ -24,6 +24,7 @@ from repro.frontend.app import (
     PublishingApp,
     RegisteredView,
     build_hotel_app,
+    build_hotel_backend,
 )
 from repro.frontend.facade import USABLE_OUTCOMES, AsyncViewServer
 from repro.frontend.hedging import HedgeController, HedgePolicy, RollingLatency
@@ -48,6 +49,7 @@ __all__ = [
     "USABLE_OUTCOMES",
     "VIEW_NAMES",
     "build_hotel_app",
+    "build_hotel_backend",
     "run_load",
     "serve_app",
 ]

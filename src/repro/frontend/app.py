@@ -10,11 +10,10 @@ backend serving them (a :class:`~repro.serving.server.ViewServer` or a
 :class:`~repro.frontend.facade.AsyncViewServer` facade wrapping it.
 
 :func:`build_hotel_app` assembles the paper's hotel workload —
-Figure 1 publishing view, Figure 4/17 stylesheets — with the same
-knobs ``serve-bench`` exposes (staleness, maintenance mode, resilience
-policy, fault plan, shards), so the HTTP tier serves byte-identical
-answers to the in-process paths the differential suite compares
-against.
+Figure 1 publishing view, Figure 4/17 stylesheets — through
+:func:`build_hotel_backend`, the same build path ``serve-bench`` uses,
+so the HTTP tier serves byte-identical answers to the in-process paths
+the differential suite compares against.
 """
 
 from __future__ import annotations
@@ -128,7 +127,7 @@ class PublishingApp:
         return drained
 
 
-def build_hotel_app(
+def build_hotel_backend(
     scale: int = 1,
     workers: int = 4,
     staleness: Optional[str] = None,
@@ -136,102 +135,134 @@ def build_hotel_app(
     fragment_policy: str = "all",
     resilience=None,
     faults=None,
-    hedge: Optional[HedgePolicy] = None,
     shards: int = 1,
     replicas: int = 0,
     replica_lag_ms: float = 0.0,
     fleet_faults=None,
     backend: Optional[str] = None,
-) -> PublishingApp:
-    """The paper's hotel workload as a servable application.
+    keep_xml: bool = True,
+):
+    """The hotel workload's database, serving backend and write mix.
 
-    Mirrors ``serve-bench`` construction: tracked writes and a result
-    cache when ``staleness`` is set, a sharded fleet when ``shards > 1``
-    or ``replicas > 0`` (fault plan armed on shard 0's primary only,
-    replicas as the failover path), a single :class:`ViewServer`
-    otherwise. ``backend`` picks the storage engine (``"sqlite"`` /
-    ``"duckdb"``); on backends without write hooks, tracked writes are
-    recorded explicitly instead of through auto capture.
+    The one build path behind ``serve-bench``, ``serve-http``,
+    ``load-bench`` and :func:`build_hotel_app`. Returns ``(database,
+    server, write)``: ``server`` is a sharded
+    :class:`~repro.sharding.router.ShardRouter` fleet when ``shards > 1``
+    or ``replicas > 0`` (``faults`` armed on shard 0's primary only, so
+    replicas are the failover path), a single :class:`ViewServer`
+    otherwise; ``write(index)`` applies hotel write number ``index``
+    so that the next read sees it.
+
+    Result caching is on if and only if ``staleness`` names a policy:
+    a single box then tracks writes (auto capture where the ``backend``
+    engine has it, explicit records otherwise) and caches responses;
+    without one it serves every request live and re-snapshots its pool
+    after each write. A fleet routes reads by version lag, so building
+    one without a policy is a :class:`~repro.errors.ReproError`.
     """
     from repro.maintenance import WriteTracker, hotel_write
     from repro.relational.driver import resolve_driver
     from repro.workloads.hotel import HotelDataSpec, build_hotel_database
-    from repro.workloads.paper import (
-        figure1_view,
-        figure4_stylesheet,
-        figure17_stylesheet,
-    )
 
-    driver = resolve_driver(backend)
-    update_aware = staleness is not None
     sharded = shards > 1 or replicas > 0
+    if sharded and staleness is None:
+        raise ReproError(
+            "a fleet (shards > 1 or replicas > 0) needs a staleness "
+            "policy: strict, manual, or bounded:N"
+        )
+    if fleet_faults is not None and not sharded:
+        raise ReproError(
+            "fleet faults need a fleet (shards > 1 or replicas > 0)"
+        )
+    driver = resolve_driver(backend)
     db = build_hotel_database(
         HotelDataSpec().scaled(scale), cross_thread=True, driver=driver
     )
-    tracker = None
-    auto_capture = driver.supports_auto_capture
-    if update_aware and not sharded:
-        tracker = WriteTracker()
-        db.attach_tracker(tracker, auto=auto_capture)
-
     if sharded:
         from repro.sharding import ShardRouter
         from repro.workloads.hotel import hotel_partition_scheme
 
-        server = ShardRouter.build(
+        router = ShardRouter.build(
             db.catalog,
             db,
             hotel_partition_scheme(),
             shards,
             replicas=replicas,
             workers=workers,
-            staleness=staleness or "strict",
+            staleness=staleness,
             maintenance=maintenance,
             fragment_policy=fragment_policy,
             resilience=resilience,
             faults=(
-                [faults] + [None] * (shards - 1)
-                if faults is not None
-                else None
+                None if faults is None else [faults] + [None] * (shards - 1)
             ),
             fleet_faults=fleet_faults,
             replica_lag_ms=replica_lag_ms,
-            keep_xml=True,  # the HTTP layer serves trace.xml
+            keep_xml=keep_xml,
         )
 
-        def write_fn(index: int) -> None:
-            server.route_write(
-                lambda source, shard_tracker: hotel_write(
-                    source, index, tracker=shard_tracker
+        def route_write(index: int) -> None:
+            # One logical write, applied shard-locally everywhere: the
+            # write mix addresses rows by key predicates, so each
+            # shard's statements touch only rows it owns.
+            router.route_write(
+                lambda source, tracker: hotel_write(
+                    source, index, tracker=tracker
                 )
             )
 
-    else:
-        server = ViewServer(
-            db.catalog,
-            source=db,
-            workers=workers,
-            keep_xml=True,  # the HTTP layer serves trace.xml
-            tracker=tracker,
-            staleness=staleness or "strict",
-            maintenance=maintenance,
-            fragment_policy=fragment_policy,
-            resilience=resilience,
-            faults=faults,
-        )
+        return db, router, route_write
 
-        def write_fn(index: int) -> None:
-            if auto_capture:
-                hotel_write(db, index)  # auto capture records it
-            else:
-                hotel_write(db, index, tracker=tracker)
+    tracker = None
+    if staleness is not None:
+        tracker = WriteTracker()
+        db.attach_tracker(tracker, auto=driver.supports_auto_capture)
+    server = ViewServer(
+        db.catalog,
+        source=db,
+        workers=workers,
+        keep_xml=keep_xml,
+        tracker=tracker,
+        staleness=staleness or "strict",  # inert without a tracker
+        maintenance=maintenance,
+        fragment_policy=fragment_policy,
+        resilience=resilience,
+        faults=faults,
+    )
 
+    def write(index: int) -> None:
+        if tracker is None:
+            hotel_write(db, index)
+            server.pool.refresh()  # untracked: re-snapshot right away
+        elif driver.supports_auto_capture:
+            hotel_write(db, index)  # auto capture records it
+        else:
+            hotel_write(db, index, tracker=tracker)
+
+    return db, server, write
+
+
+def build_hotel_app(
+    hedge: Optional[HedgePolicy] = None, **build
+) -> PublishingApp:
+    """The paper's hotel workload as a servable application.
+
+    ``build`` takes :func:`build_hotel_backend`'s keyword arguments;
+    the app registers the Figure 1 view and its Figure 4/17
+    compositions over that backend, keeping response bytes for the
+    HTTP layer.
+    """
+    from repro.workloads.paper import (
+        figure1_view,
+        figure4_stylesheet,
+        figure17_stylesheet,
+    )
+
+    db, server, write = build_hotel_backend(keep_xml=True, **build)
     view = figure1_view(db.catalog)
     registry = {
         "figure1": RegisteredView("figure1", view, None),
         "figure4": RegisteredView("figure4", view, figure4_stylesheet()),
         "figure17": RegisteredView("figure17", view, figure17_stylesheet()),
     }
-    return PublishingApp(
-        registry, server, db, hedge=hedge, write_fn=write_fn
-    )
+    return PublishingApp(registry, server, db, hedge=hedge, write_fn=write)

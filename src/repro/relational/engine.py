@@ -43,7 +43,9 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Iterable, Mapping, Optional
 
 from repro.errors import ViewEvaluationError
@@ -119,6 +121,13 @@ class QueryStats:
             self.sql_texts.clear()
 
 
+def _forget_sql(cache: dict, key: int, ref: weakref.ref) -> None:
+    """Weakref callback: drop a collected query's printed-SQL entry."""
+    entry = cache.get(key)
+    if entry is not None and entry[2] is ref:
+        cache.pop(key, None)
+
+
 class Database:
     """A database (in-memory sqlite by default) described by a catalog.
 
@@ -162,7 +171,10 @@ class Database:
         # the evaluation between statements. Hard mid-statement cutoff
         # is the caller's job via ``driver.cancel(connection)``.
         self.cancel_check: Optional[Callable[[], None]] = None
-        self._sql_cache: dict[int, tuple[str, list, Select]] = {}
+        # Printed SQL per query object, keyed by id(query). Entries hold
+        # the query weakly and drop out when it is collected, so the
+        # cache never pins queries (or the plans holding them) alive.
+        self._sql_cache: dict[int, tuple[str, list, weakref.ref]] = {}
         if create:
             self.create_all()
 
@@ -328,14 +340,16 @@ class Database:
         """
         if self.cancel_check is not None:
             self.cancel_check()
-        # Cache the rendered SQL per query object. The cache entry keeps a
-        # reference to the query so id() values cannot be recycled.
         key = id(query)
         cached = self._sql_cache.get(key)
-        if cached is None or cached[2] is not query:
+        if cached is None or cached[2]() is not query:
             sql = print_select(query, placeholders=self.driver.placeholder)
             params = collect_params(query)
-            self._sql_cache[key] = (sql, params, query)
+            self._sql_cache[key] = (
+                sql,
+                params,
+                weakref.ref(query, partial(_forget_sql, self._sql_cache, key)),
+            )
         else:
             sql, params, _ = cached
         bindings: dict[str, Any] = {}

@@ -14,9 +14,12 @@ predictable* under that failure:
   knobs) and :class:`Deadline` (cooperative cancellation the engine
   checks at query boundaries, backed by a hard
   ``sqlite3.Connection.interrupt`` timer).
-* :mod:`repro.resilience.breaker` — a per-plan-fingerprint
-  :class:`CircuitBreaker` (closed / open / half-open) living on the
-  :class:`~repro.serving.plan_cache.PlanCache`.
+* :mod:`repro.resilience.breaker` — the :class:`HalfOpenGate`
+  (closed / open / half-open, one trial at a time, tickets released on
+  every exit) behind both the per-plan-fingerprint
+  :class:`CircuitBreaker` on the
+  :class:`~repro.serving.plan_cache.PlanCache` and each fleet member's
+  :class:`~repro.sharding.replica.ReplicaHealth`.
 
 Failure classification lives in :func:`repro.errors.classify_error`;
 the degraded-stale fallback (serve the last-known-good
@@ -28,7 +31,11 @@ computation fails) is wired in
 and gates on availability (success + degraded).
 """
 
-from repro.resilience.breaker import BREAKER_STATES, CircuitBreaker
+from repro.resilience.breaker import (
+    BREAKER_STATES,
+    CircuitBreaker,
+    HalfOpenGate,
+)
 from repro.resilience.faults import (
     FLEET_FAULT_KINDS,
     TRANSIENT_MESSAGES,
@@ -51,6 +58,7 @@ __all__ = [
     "FaultyEngine",
     "FleetFaultPlan",
     "FleetFaultSpec",
+    "HalfOpenGate",
     "ResiliencePolicy",
     "TRANSIENT_MESSAGES",
 ]

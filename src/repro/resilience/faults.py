@@ -9,13 +9,16 @@ wrong-shape result. This module makes those failures reproducible:
   ``sqlite3.OperationalError``\\ s (busy / locked / disk I/O), added
   per-query latency, wrong-shape results (a column silently dropped),
   and compile-time failures.
-* :class:`FaultPlan` — *where* and *when*. Decisions are a pure
-  function of ``(seed, site, per-site call index)``: the plan keeps one
-  counter per site (a base-table name, ``"compile"``, or ``"query"``)
-  and hashes the triple, so a given seed produces the same fault
-  sequence at every site regardless of thread interleaving *between*
-  sites. ``every_n`` sites fire deterministically on each Nth call
-  instead of at a rate.
+* :class:`SeededSchedule` — *when*, for every plan here. Decisions are
+  a pure function of ``(seed, site, per-site call index)``: the core
+  keeps one counter per site and hashes the triple, so a given seed
+  produces the same fault sequence at every site regardless of thread
+  interleaving *between* sites.
+* :class:`FaultPlan` — *where*, per query and compile: sites are a
+  base-table name, ``"compile"``, or ``"query"``; ``every_n`` sites
+  fire deterministically on each Nth call instead of at a rate.
+  :class:`FleetFaultPlan` draws whole-member fault windows from the
+  same core.
 * :class:`FaultyEngine` — a transparent wrapper around a
   :class:`~repro.relational.engine.Database` that consults the plan on
   every :meth:`~repro.relational.engine.Database.run_query`. The
@@ -90,30 +93,26 @@ class FaultSpec:
             raise ValueError(f"every_n must be >= 0, got {self.every_n}")
 
 
-class FaultPlan:
-    """Seeded, site-addressed fault schedule shared by a whole server.
+class SeededSchedule:
+    """The seeded, site-addressed draw both fault plans are built on.
 
     Thread-safe: per-site counters advance under a lock, and each
-    decision depends only on ``(seed, site, counter)`` — hashed through
-    blake2s into a uniform float — so two runs with the same seed and
-    the same per-site call sequence inject the same faults.
+    decision depends only on ``(seed, site, index, kind)`` — hashed
+    through blake2s into a uniform float — so two runs with the same
+    seed and the same per-site call sequence inject the same faults,
+    regardless of thread interleaving *between* sites.
 
     :meth:`disarm` / :meth:`arm` gate injection without resetting the
     counters; benchmarks warm caches with the plan disarmed, then arm it
     for the measured (chaotic) phase.
     """
 
-    def __init__(self, spec: FaultSpec, seed: int = 0, enabled: bool = True):
-        self.spec = spec
+    def __init__(self, kinds, seed: int = 0, enabled: bool = True):
         self.seed = seed
         self.enabled = enabled
         self._lock = threading.Lock()
         self._site_calls: dict[str, int] = {}
-        self._injected = {
-            "error": 0, "latency": 0, "wrong-shape": 0, "compile-error": 0,
-        }
-
-    # -- schedule ------------------------------------------------------------
+        self._injected = {kind: 0 for kind in kinds}
 
     def arm(self) -> None:
         """Enable injection (counters keep running either way)."""
@@ -138,6 +137,33 @@ class FaultPlan:
     def _count(self, kind: str) -> None:
         with self._lock:
             self._injected[kind] += 1
+
+    def stats(self) -> dict:
+        """Injection counters plus total site checks (one snapshot)."""
+        with self._lock:
+            return {
+                "seed": self.seed,
+                "enabled": self.enabled,
+                "checks": sum(self._site_calls.values()),
+                "injected": dict(self._injected),
+            }
+
+
+class FaultPlan(SeededSchedule):
+    """Seeded, site-addressed query and compile faults for a server.
+
+    Sites are base-table names, ``"query"`` and ``"compile"``; each
+    check draws per kind from :class:`SeededSchedule` at the site's
+    call index.
+    """
+
+    def __init__(self, spec: FaultSpec, seed: int = 0, enabled: bool = True):
+        super().__init__(
+            ("error", "latency", "wrong-shape", "compile-error"),
+            seed=seed,
+            enabled=enabled,
+        )
+        self.spec = spec
 
     # -- injection sites -----------------------------------------------------
 
@@ -195,18 +221,6 @@ class FaultPlan:
         message = TRANSIENT_MESSAGES[cursor % len(TRANSIENT_MESSAGES)]
         return sqlite3.OperationalError(message)
 
-    # -- introspection -------------------------------------------------------
-
-    def stats(self) -> dict:
-        """Injection counters plus total site checks (one snapshot)."""
-        with self._lock:
-            return {
-                "seed": self.seed,
-                "enabled": self.enabled,
-                "checks": sum(self._site_calls.values()),
-                "injected": dict(self._injected),
-            }
-
 
 #: Fleet-scoped fault kinds a :class:`FleetFaultPlan` can schedule.
 #: ``replica-crash`` makes a replica's pool refuse new sessions,
@@ -256,25 +270,20 @@ class FleetFaultSpec:
         raise ValueError(f"unknown fleet fault kind {kind!r}")
 
 
-class FleetFaultPlan:
+class FleetFaultPlan(SeededSchedule):
     """Seeded, member-addressed schedule of whole-member faults.
 
-    Mirrors :class:`FaultPlan`'s determinism contract: each check at a
-    ``(shard, member, kind)`` site advances a per-site counter, the
-    counter's window index is hashed through blake2s with the seed, and
-    the draw decides whether the *whole window* is faulted. Same seed +
-    same per-site call sequence ⇒ same crash/stall/partition schedule,
-    regardless of thread interleaving between sites.
+    Each check at a ``(shard, member, kind)`` site advances that site's
+    counter, and the :class:`SeededSchedule` draw at the counter's
+    *window* index decides whether the whole window is faulted. Same
+    seed + same per-site call sequence ⇒ same crash/stall/partition
+    schedule, regardless of thread interleaving between sites.
     """
 
     def __init__(self, spec: FleetFaultSpec, seed: int = 0,
                  enabled: bool = True):
+        super().__init__(FLEET_FAULT_KINDS, seed=seed, enabled=enabled)
         self.spec = spec
-        self.seed = seed
-        self.enabled = enabled
-        self._lock = threading.Lock()
-        self._site_calls: dict[str, int] = {}
-        self._injected = {kind: 0 for kind in FLEET_FAULT_KINDS}
 
     @classmethod
     def for_kind(cls, kind: str, rate: float = 0.5, seed: int = 0,
@@ -292,58 +301,27 @@ class FleetFaultPlan:
         }[kind]
         return cls(FleetFaultSpec(window=window, **rates), seed=seed)
 
-    def arm(self) -> None:
-        """Enable injection (counters keep running either way)."""
-        self.enabled = True
-
-    def disarm(self) -> None:
-        """Disable injection; checks still advance the per-site counters."""
-        self.enabled = False
-
     def active(self, kind: str, shard: int, member: str) -> bool:
         """One check: is ``kind`` afflicting ``member`` of ``shard`` now?
 
         Role targeting is structural: crash/stall checks on the primary
         and partition checks on replicas are always ``False`` (and do
-        not advance counters) — the fault sites the tentpole names are
-        replica crash, replica apply-stall, and primary read-partition.
+        not advance counters) — the fault sites are replica crash,
+        replica apply-stall, and primary read-partition.
         """
         if kind not in FLEET_FAULT_KINDS:
             raise ValueError(f"unknown fleet fault kind {kind!r}")
-        is_primary = member == "primary"
-        if kind == "partition":
-            if not is_primary:
-                return False
-        elif is_primary:
+        if (kind == "partition") != (member == "primary"):
             return False
         site = f"shard{shard}:{member}:{kind}"
-        with self._lock:
-            index = self._site_calls.get(site, 0)
-            self._site_calls[site] = index + 1
-        if not self.enabled:
-            return False
+        index = self._advance(site)
         rate = self.spec.rate_for(kind)
-        if not rate:
+        if not (self.enabled and rate):
             return False
-        window = index // self.spec.window
-        digest = hashlib.blake2s(
-            f"{self.seed}:{site}:{window}:{kind}".encode(), digest_size=8
-        ).digest()
-        hit = int.from_bytes(digest, "big") / float(1 << 64) < rate
+        hit = self._draw(site, index // self.spec.window, kind) < rate
         if hit:
-            with self._lock:
-                self._injected[kind] += 1
+            self._count(kind)
         return hit
-
-    def stats(self) -> dict:
-        """Injection counters plus total site checks (one snapshot)."""
-        with self._lock:
-            return {
-                "seed": self.seed,
-                "enabled": self.enabled,
-                "checks": sum(self._site_calls.values()),
-                "injected": dict(self._injected),
-            }
 
 
 @dataclass

@@ -16,8 +16,8 @@ per request:
   uniform draw) — the AWS-style schedule that avoids retry
   synchronization across workers.
 * **When does it stop trying at all?** ``breaker_threshold``
-  consecutive failures open a per-plan-fingerprint
-  :class:`~repro.resilience.breaker.CircuitBreaker`.
+  consecutive real failures open a per-plan-fingerprint
+  :class:`~repro.resilience.breaker.CircuitBreaker` gate.
 * **When is it refused up front?** ``queue_limit`` bounds admission:
   more than ``workers + queue_limit`` requests in flight and new ones
   are shed with a ``rejected`` trace outcome.
@@ -52,15 +52,11 @@ class ResiliencePolicy:
     backoff_base_ms: float = 5.0
     #: Ceiling on any single backoff sleep, milliseconds.
     backoff_max_ms: float = 100.0
-    #: Consecutive compile/eval failures that open a plan's breaker
-    #: (0 disables circuit breaking).
+    #: Consecutive real compile/eval failures that open a plan's
+    #: breaker (0 disables circuit breaking).
     breaker_threshold: int = 0
     #: How long an open breaker waits before allowing a half-open trial.
     breaker_cooldown_ms: float = 1000.0
-    #: Concurrent trial probes admitted while a circuit is half-open.
-    #: 1 is the classic single-trial behaviour; a larger budget lets a
-    #: busy plan re-close faster without a full thundering herd.
-    breaker_half_open_max: int = 1
     #: Requests admitted beyond the worker count before shedding
     #: (``None`` = unbounded queue, the pre-resilience behaviour).
     queue_limit: Optional[int] = None
@@ -86,11 +82,6 @@ class ResiliencePolicy:
             raise ReproError(
                 f"breaker_cooldown_ms must be > 0, "
                 f"got {self.breaker_cooldown_ms}"
-            )
-        if self.breaker_half_open_max < 1:
-            raise ReproError(
-                f"breaker_half_open_max must be >= 1, "
-                f"got {self.breaker_half_open_max}"
             )
         if self.queue_limit is not None and self.queue_limit < 0:
             raise ReproError(

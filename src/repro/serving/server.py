@@ -88,7 +88,7 @@ from repro.maintenance.policy import StalenessPolicy
 from repro.maintenance.result_cache import ResultCache
 from repro.maintenance.tracker import WriteTracker
 from repro.relational.engine import Database
-from repro.resilience.breaker import CircuitBreaker
+from repro.resilience.breaker import REAL_FAILURES, CircuitBreaker
 from repro.resilience.faults import FaultPlan
 from repro.resilience.policy import Deadline, ResiliencePolicy
 from repro.relational.schema import Catalog
@@ -377,7 +377,6 @@ class ViewServer:
             breaker = CircuitBreaker(
                 resilience.breaker_threshold,
                 cooldown_ms=resilience.breaker_cooldown_ms,
-                half_open_max=resilience.breaker_half_open_max,
             )
         self.plan_cache = PlanCache(cache_capacity, breaker=breaker)
         self.pool = ConnectionPool(
@@ -994,80 +993,92 @@ class ViewServer:
             # on plan or cache work it will throw away.
             request.cancel.check()
         breaker = self.plan_cache.breaker
-        # Gate compilation: an open breaker must not trigger a compile
-        # storm for a plan that keeps failing. Resident plans skip this
-        # (a plain cache read costs nothing worth protecting).
-        if (
-            breaker is not None
-            and key not in self.plan_cache
-            and not breaker.allow(key)
-        ):
-            raise CircuitOpen(key, breaker.retry_after_ms(key))
-        plan, hit = self.plan_cache.get_or_build(
-            key, lambda: self._compile(key, request)
-        )
-        trace.cache_hit = hit
-        trace.plan_seconds = time.perf_counter() - started
-        # -- result cache: consult before touching the pool. The
-        # entry's version stamp is compared against the tracker's
-        # live vector over the plan's read set; the staleness policy
-        # decides whether cached bytes may be served.
-        use_result_cache = (
-            self.result_cache is not None and not request.bypass_cache
-        )
-        cached = None
-        current_versions: dict[str, int] = {}
-        if use_result_cache:
-            current_versions = self.tracker.versions(plan.tables)
-            cached, lag = self.result_cache.lookup(
-                result_key, current_versions, self.staleness
+        # One admission per request, taken at the first step that costs
+        # work (a compile, else the computation) and handed back on
+        # every exit below, so a half-open trial can never be lost.
+        ticket = None
+        try:
+            # Gate compilation: an open breaker must not trigger a
+            # compile storm for a plan that keeps failing. Resident
+            # plans skip this (a plain cache read costs nothing worth
+            # protecting).
+            if breaker is not None and key not in self.plan_cache:
+                ticket = self._admit(breaker, key)
+            plan, hit = self.plan_cache.get_or_build(
+                key, lambda: self._compile(key, request)
             )
-            trace.version_lag = lag
-            trace.freshness = (
-                "hit"
-                if cached is not None
-                else ("stale-recompute" if lag > 0 else "miss")
+            trace.cache_hit = hit
+            trace.plan_seconds = time.perf_counter() - started
+            # -- result cache: consult before touching the pool. The
+            # entry's version stamp is compared against the tracker's
+            # live vector over the plan's read set; the staleness
+            # policy decides whether cached bytes may be served.
+            use_result_cache = (
+                self.result_cache is not None and not request.bypass_cache
             )
-        if cached is not None:
-            # Policy-fresh cached bytes serve even under an open
-            # breaker — the breaker guards computation, not reads.
-            if self.keep_xml:
-                trace.xml = cached.xml
-            if self.keep_documents and isinstance(
-                cached.state, MaterializedState
+            cached = None
+            current_versions: dict[str, int] = {}
+            if use_result_cache:
+                current_versions = self.tracker.versions(plan.tables)
+                cached, lag = self.result_cache.lookup(
+                    result_key, current_versions, self.staleness
+                )
+                trace.version_lag = lag
+                trace.freshness = (
+                    "hit"
+                    if cached is not None
+                    else ("stale-recompute" if lag > 0 else "miss")
+                )
+            if cached is not None:
+                # Policy-fresh cached bytes serve even under an open
+                # breaker — the breaker guards computation, not reads.
+                if self.keep_xml:
+                    trace.xml = cached.xml
+                if self.keep_documents and isinstance(
+                    cached.state, MaterializedState
+                ):
+                    trace.document = cached.state.document
+                return
+            if breaker is not None and ticket is None:
+                ticket = self._admit(breaker, key)
+            delta_xml = None
+            if (
+                use_result_cache
+                and self.maintenance in ("delta", "fragment")
+                and trace.freshness == "stale-recompute"
             ):
-                trace.document = cached.state.document
-            return
-        # Gate computation (the breaker may have opened since the
-        # compile gate, or the plan was resident and unguarded so far).
-        if breaker is not None and not breaker.allow(key):
-            raise CircuitOpen(key, breaker.retry_after_ms(key))
-        delta_xml = None
-        if (
-            use_result_cache
-            and self.maintenance in ("delta", "fragment")
-            and trace.freshness == "stale-recompute"
-        ):
-            delta_xml = self._serve_delta(
-                request, plan, trace, result_key, current_versions, deadline
+                delta_xml = self._serve_delta(
+                    request, plan, trace, result_key, current_versions,
+                    deadline,
+                )
+            if delta_xml is not None:
+                trace.freshness = "delta-recompute"
+                if self.keep_xml:
+                    trace.xml = delta_xml
+                if breaker is not None:
+                    breaker.record_success(key)
+                return
+            self._compute_with_retries(
+                request,
+                plan,
+                trace,
+                key,
+                result_key,
+                use_result_cache,
+                current_versions,
+                deadline,
             )
-        if delta_xml is not None:
-            trace.freshness = "delta-recompute"
-            if self.keep_xml:
-                trace.xml = delta_xml
-            if breaker is not None:
-                breaker.record_success(key)
-            return
-        self._compute_with_retries(
-            request,
-            plan,
-            trace,
-            key,
-            result_key,
-            use_result_cache,
-            current_versions,
-            deadline,
-        )
+        finally:
+            if ticket is not None:
+                breaker.release(key, ticket)
+
+    @staticmethod
+    def _admit(breaker: CircuitBreaker, key: str) -> int:
+        """Take ``key``'s breaker ticket, or raise :class:`CircuitOpen`."""
+        ticket = breaker.allow(key)
+        if ticket is None:
+            raise CircuitOpen(key, breaker.retry_after_ms(key))
+        return ticket
 
     def _compute_with_retries(
         self,
@@ -1085,9 +1096,10 @@ class ViewServer:
         Transient failures (busy/locked/disk-I/O, per
         :func:`repro.errors.classify_error`) are retried up to the
         policy's budget with exponential backoff + full jitter, capped
-        by the request deadline; every failed attempt feeds the plan's
-        circuit breaker, every success resets it. Permanent failures
-        and expired deadlines raise immediately.
+        by the request deadline; every really failed attempt (transient
+        or permanent) feeds the plan's circuit breaker, every success
+        resets it. Permanent failures, expired deadlines and
+        cancellations raise immediately.
         """
         policy = self.resilience
         breaker = self.plan_cache.breaker
@@ -1105,10 +1117,6 @@ class ViewServer:
                     deadline,
                 )
             except Exception as exc:
-                if breaker is not None and not isinstance(
-                    exc, (CircuitOpen, RequestCancelled)
-                ):
-                    breaker.record_failure(key)
                 # An interrupt fired by the deadline timer (or a cancel
                 # token) surfaces as a transient 'interrupted' error;
                 # the expired budget / cancellation is the real
@@ -1116,6 +1124,8 @@ class ViewServer:
                 if not isinstance(exc, (DeadlineExceeded, RequestCancelled)):
                     deadline.check()
                 kind = classify_error(exc)
+                if breaker is not None and kind in REAL_FAILURES:
+                    breaker.record_failure(key)
                 budget = policy.retries if policy is not None else 0
                 if kind != "transient" or attempt >= budget:
                     raise

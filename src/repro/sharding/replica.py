@@ -11,28 +11,26 @@ for an injectable delay so replicas *genuinely* lag. The router then
 routes reads by the replica's real lag (primary clock minus replica
 clock) against the staleness policy's version budget.
 
-:class:`ReplicaHealth` is the per-member state machine the router feeds
-with request outcomes:
+:class:`ReplicaHealth` is the half-open gate
+(:class:`~repro.resilience.breaker.HalfOpenGate`) each member owns,
+fed by request outcomes and labelled in fleet terms:
 
 .. code-block:: text
 
             failures >= suspect_after        failures >= dead_after
    healthy ─────────────────────────> suspect ───────────────────> dead
       ^                                  │ success                   │
-      │ success (probe)                  v                           │
-      └───────────────────────────── healthy <── cooldown + half-open probe
+      │ success (trial)                  v                           │
+      └───────────────────────────── healthy <── cooldown + half-open trial
 
-It reuses the E16 breaker shape (closed/open/half-open ≈
-healthy/dead/probing): a dead member refuses traffic until its cooldown
-elapses, then admits at most ``probe_max`` trial requests; one success
-readmits it, one failure re-deads it and restarts the cooldown. The
-error taxonomy (:func:`repro.errors.classify_error`) keeps intentional
-outcomes — cancelled hedge losers, admission sheds — from counting as
-health signals. "lagging" is an *overlay* state, not a transition:
-a healthy member whose version lag exceeds the policy budget reports
-``effective_state() == "lagging"`` and is skipped for reads, but its
-failure counters are untouched (lag is the applier's problem, not the
-member's).
+A dead member refuses traffic until its cooldown elapses, then admits
+one trial request at a time; one success readmits it, one failure
+re-deads it and restarts the cooldown. Only real failures count
+(:func:`repro.errors.classify_error` says transient or permanent):
+a cancelled hedge loser, an admission shed or an expired deadline ends
+the attempt without a verdict and just hands the trial back. Lag is not
+a health signal; the router gates it separately against the staleness
+budget.
 
 :class:`PlacementGroup` carries hedge anti-affinity: both attempts of a
 hedged request share one group, each attempt's chosen member is
@@ -45,25 +43,25 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
 from typing import Callable, Optional
 
 from repro.errors import classify_error
 from repro.maintenance.tracker import WriteTracker
+from repro.resilience.breaker import REAL_FAILURES, HalfOpenGate
 
-#: States a replica can report. ``lagging`` is an overlay on
-#: ``healthy`` (computed against the staleness budget at read time);
-#: the failure-driven machine itself moves healthy → suspect → dead.
-REPLICA_STATES = ("healthy", "lagging", "suspect", "dead")
+#: States a replica's health reports, best first.
+REPLICA_STATES = ("healthy", "suspect", "dead")
 
 
-class ReplicaHealth:
-    """Failure-and-lag-driven health machine for one fleet member.
+class ReplicaHealth(HalfOpenGate):
+    """The health gate one fleet member owns.
 
-    Thread-safe; all decisions run under one lock with an injectable
-    ``clock`` (monotonic seconds) so tests drive the cooldown without
-    sleeping. Mirrors the :class:`~repro.resilience.breaker.CircuitBreaker`
-    half-open shape for readmission.
+    ``dead_after`` consecutive real failures open the gate (the member
+    is *dead*); ``suspect_after`` of them already mark it *suspect*,
+    which costs routing priority but no traffic. Admission, cooldown and
+    the half-open trial are :class:`HalfOpenGate`'s; this class adds the
+    error taxonomy filter, the fleet vocabulary in :meth:`stats`, and
+    the member's lag watermarks.
     """
 
     def __init__(
@@ -71,8 +69,6 @@ class ReplicaHealth:
         suspect_after: int = 2,
         dead_after: int = 4,
         cooldown_ms: float = 500.0,
-        probe_max: int = 1,
-        latency_window: int = 32,
         clock: Callable[[], float] = time.monotonic,
     ):
         if not 1 <= suspect_after <= dead_after:
@@ -80,116 +76,33 @@ class ReplicaHealth:
                 "need 1 <= suspect_after <= dead_after, got "
                 f"{suspect_after}/{dead_after}"
             )
-        if probe_max < 1:
-            raise ValueError(f"probe_max must be >= 1, got {probe_max}")
+        super().__init__(dead_after, cooldown_ms, clock)
         self.suspect_after = suspect_after
-        self.dead_after = dead_after
-        self.cooldown_ms = cooldown_ms
-        self.probe_max = probe_max
-        self._clock = clock
-        self._lock = threading.Lock()
-        self._state = "healthy"
-        self._consecutive_failures = 0
-        self._died_at = 0.0
-        self._probes_inflight = 0
-        self._latencies: deque = deque(maxlen=latency_window)
-        self.current_lag = 0
-        self.max_lag = 0
-        self.successes = 0
         self.failures = 0
         self.ignored_failures = 0
-        self.deaths = 0
-        self.readmissions = 0
-        self.probes_fired = 0
-        self.probe_denials = 0
+        self.current_lag = 0
+        self.max_lag = 0
 
-    # -- admission -----------------------------------------------------------
-
-    def probe_ready(self) -> bool:
-        """Read-only: could :meth:`admit` grant a request right now?
-
-        The enumeration-time check. Candidate selection must not consume
-        a probe slot for a member it may never attempt — a granted slot
-        is only released by the attempt's outcome, so an unattempted
-        grant would leak the slot and lock the member out of readmission
-        forever. Enumeration asks this instead; the slot itself is taken
-        by :meth:`admit` at dispatch time, when an attempt is certain.
-        """
-        with self._lock:
-            if self._state != "dead":
-                return True
-            if (self._clock() - self._died_at) * 1000.0 < self.cooldown_ms:
-                return False
-            return self._probes_inflight < self.probe_max
-
-    def admit(self) -> bool:
-        """May this member receive a request right now?
-
-        Healthy and suspect members always admit (suspect only costs
-        routing *priority*, not traffic). A dead member refuses until
-        ``cooldown_ms`` has elapsed since it died, then grants at most
-        ``probe_max`` concurrent half-open trials — the trial's
-        :meth:`record_success` / :meth:`record_failure` settles whether
-        it comes back. Call only when the request will actually be
-        dispatched to this member (see :meth:`probe_ready`).
-        """
-        with self._lock:
-            if self._state != "dead":
-                return True
-            elapsed_ms = (self._clock() - self._died_at) * 1000.0
-            if elapsed_ms < self.cooldown_ms:
-                return False
-            if self._probes_inflight >= self.probe_max:
-                self.probe_denials += 1
-                return False
-            self._probes_inflight += 1
-            self.probes_fired += 1
-            return True
-
-    # -- outcome feedback ----------------------------------------------------
-
-    def record_success(self, latency_ms: Optional[float] = None) -> None:
-        """A request served by this member succeeded."""
-        with self._lock:
-            self.successes += 1
-            if latency_ms is not None:
-                self._latencies.append(latency_ms)
-            if self._probes_inflight > 0:
-                self._probes_inflight -= 1
-            if self._state == "dead":
-                self.readmissions += 1
-            self._state = "healthy"
-            self._consecutive_failures = 0
+    @property
+    def dead_after(self) -> int:
+        """Consecutive real failures that kill the member."""
+        return self.threshold
 
     def record_failure(self, error: Optional[BaseException] = None) -> None:
         """A request served by this member failed.
 
-        ``error`` (when available) is classified: ``cancelled`` and
-        ``rejected`` outcomes are intentional — a hedge loser or an
-        admission shed says nothing about the member's health — and are
-        ignored. Everything else (transient, deadline, permanent)
-        counts toward the suspect/dead thresholds.
+        ``error`` (when available) is classified; anything but a real
+        failure is ignored here, and the caller's
+        :meth:`~HalfOpenGate.release` hands the trial back.
         """
-        category = "transient" if error is None else classify_error(error)
+        real = error is None or classify_error(error) in REAL_FAILURES
         with self._lock:
-            if category in ("cancelled", "rejected"):
+            if real:
+                self.failures += 1
+            else:
                 self.ignored_failures += 1
-                return
-            self.failures += 1
-            if self._probes_inflight > 0:
-                self._probes_inflight -= 1
-            if self._state == "dead":
-                # Failed half-open probe: stay dead, restart cooldown.
-                self._died_at = self._clock()
-                return
-            self._consecutive_failures += 1
-            if self._consecutive_failures >= self.dead_after:
-                self._state = "dead"
-                self._died_at = self._clock()
-                self._probes_inflight = 0
-                self.deaths += 1
-            elif self._consecutive_failures >= self.suspect_after:
-                self._state = "suspect"
+        if real:
+            super().record_failure()
 
     def observe_lag(self, lag: int) -> None:
         """Record the member's current version lag (watermarked)."""
@@ -198,51 +111,36 @@ class ReplicaHealth:
             if lag > self.max_lag:
                 self.max_lag = lag
 
-    # -- introspection -------------------------------------------------------
-
     def state(self) -> str:
-        """The failure-driven base state (no lag overlay)."""
+        """``healthy``, ``suspect`` or ``dead`` (see the module diagram)."""
         with self._lock:
-            return self._state
-
-    def effective_state(self, lag_budget: Optional[int] = None) -> str:
-        """Base state with the staleness overlay applied.
-
-        A healthy member whose last observed lag exceeds ``lag_budget``
-        reports ``"lagging"``; ``None`` budget means lag never matters
-        (the manual staleness policy).
-        """
-        with self._lock:
-            if self._state != "healthy":
-                return self._state
-            if lag_budget is not None and self.current_lag > lag_budget:
-                return "lagging"
+            if self.phase != "closed":
+                return "dead"
+            if self.consecutive_failures >= self.suspect_after:
+                return "suspect"
             return "healthy"
 
-    def probe_latency_ms(self) -> Optional[float]:
-        """Median of the recent success latencies (None before any)."""
-        with self._lock:
-            if not self._latencies:
-                return None
-            ordered = sorted(self._latencies)
-            return ordered[len(ordered) // 2]
-
     def stats(self) -> dict:
-        """Counters, state, and lag watermarks (one locked snapshot)."""
+        """Counters, trials in flight and lag watermarks."""
+        gate = super().stats()
         with self._lock:
-            return {
-                "state": self._state,
-                "consecutive_failures": self._consecutive_failures,
-                "successes": self.successes,
-                "failures": self.failures,
-                "ignored_failures": self.ignored_failures,
-                "deaths": self.deaths,
-                "readmissions": self.readmissions,
-                "probes_fired": self.probes_fired,
-                "probe_denials": self.probe_denials,
-                "current_lag": self.current_lag,
-                "max_lag": self.max_lag,
-            }
+            failures = self.failures
+            ignored = self.ignored_failures
+            current_lag = self.current_lag
+            max_lag = self.max_lag
+        return {
+            "state": self.state(),
+            "consecutive_failures": gate["consecutive_failures"],
+            "failures": failures,
+            "ignored_failures": ignored,
+            "deaths": gate["opened"],
+            "readmissions": gate["closed"],
+            "probes_fired": gate["half_opened"],
+            "probe_denials": gate["trial_denials"],
+            "half_open_trials": gate["half_open_trials"],
+            "current_lag": current_lag,
+            "max_lag": max_lag,
+        }
 
 
 class ReplicaApplier:

@@ -19,9 +19,9 @@ lag, and reads route **lag-aware**: strict reads pin to the primary or
 a caught-up replica, bounded-staleness reads accept replicas within the
 policy's version budget, and the manual policy ignores lag entirely.
 Member eligibility is further gated by a per-member
-:class:`~repro.sharding.replica.ReplicaHealth` machine (fed by request
-outcomes and probe latencies; dead members readmit through half-open
-probes in the E16 breaker shape) and by fleet-scoped fault injection
+:class:`~repro.sharding.replica.ReplicaHealth` gate (fed by request
+outcomes; dead members readmit through a half-open trial, the same
+gate the plan breaker uses) and by fleet-scoped fault injection
 (:class:`~repro.resilience.faults.FleetFaultPlan`): a crashed replica
 is skipped (and its pool refuses new sessions for in-flight work), a
 partitioned primary stays writable but unreadable from the router.
@@ -231,11 +231,9 @@ class ShardRouter:
         faults: Optional[Sequence[Optional[FaultPlan]]] = None,
         fleet_faults: Optional[FleetFaultPlan] = None,
         replica_lag_ms: float = 0.0,
-        health_factory: Optional[Callable[[], ReplicaHealth]] = None,
         keep_xml: bool = True,
         cache_capacity: int = 64,
         result_cache_capacity: int = 128,
-        router_workers: Optional[int] = None,
         scheme: Optional[PartitionScheme] = None,
         partitioner: Optional[KeyRangePartitioner] = None,
         owns_sources: bool = False,
@@ -321,8 +319,6 @@ class ShardRouter:
         self._anti_affinity_hits = 0
         self._anti_affinity_misses = 0
         self._closed = False
-        if health_factory is None:
-            health_factory = ReplicaHealth
         self.shards: list[_Shard] = []
         for index, source in enumerate(sources):
             tracker = trackers[index] if trackers is not None else WriteTracker()
@@ -369,12 +365,12 @@ class ShardRouter:
                 members.append(
                     _Member(
                         name, role, server, member_tracker,
-                        health_factory(), applier,
+                        ReplicaHealth(), applier,
                     )
                 )
             self.shards.append(_Shard(index, source, tracker, members))
         self._executor = ThreadPoolExecutor(
-            max_workers=router_workers or max(4, 2 * len(self.shards)),
+            max_workers=max(4, 2 * len(self.shards)),
             thread_name_prefix="shardrouter",
         )
 
@@ -500,11 +496,11 @@ class ShardRouter:
         Eligibility gates, in order: fleet faults (a crashed replica or
         a read-partitioned primary is out), the staleness budget (a
         member lagging past the policy's version budget is out — strict
-        pins to lag 0, manual never gates), then the health machine (a
+        pins to lag 0, manual never gates), then the health gate (a
         dead member is out unless its cooldown elapsed and a half-open
-        probe slot is free). The lag gate runs first so a dead *and*
+        trial slot is free). The lag gate runs first so a dead *and*
         lagging member is lag-skipped without ever looking probe-ready.
-        Enumeration never consumes the probe slot — that happens in
+        Enumeration never consumes the trial slot — that happens in
         :meth:`_dispatch`, against an actual attempt — so a candidate
         that is enumerated but never tried cannot leak it. Ordering:
         caught-up non-suspect members rotate round-robin (load
@@ -590,26 +586,28 @@ class ShardRouter:
         candidates: Sequence[tuple[_Member, int]],
         request: PublishRequest,
         start: int = 0,
-    ) -> tuple[Optional[int], Optional["Future[RequestTrace]"]]:
+    ) -> tuple[Optional[int], Optional["Future[RequestTrace]"], Optional[int]]:
         """Admit, claim, and submit the first dispatchable candidate.
 
-        This is where a dead member's half-open probe slot is consumed
-        (:meth:`ReplicaHealth.admit`) — never during enumeration — so
-        every granted slot is attached to an attempt whose outcome
-        (``record_success`` / ``record_failure``, including the
-        synthetic failed trace when ``submit`` itself raises) releases
-        it. A candidate whose slot was raced away since enumeration is
-        skipped like any other dead member. The hedge placement claim
-        is recorded here too, against the member actually attempted.
-        Returns ``(index, future)``, or ``(None, None)`` when no
-        candidate from ``start`` on admits.
+        This is where a dead member's half-open trial is granted
+        (:meth:`ReplicaHealth.admit`) — never during enumeration — and
+        the returned ticket goes back through :meth:`_feed_health` once
+        the attempt's trace (real, or synthetic when ``submit`` itself
+        raises) is in. A candidate whose slot was raced away since
+        enumeration is skipped like any other dead member. The hedge
+        placement claim is recorded here too, against the member
+        actually attempted. Returns ``(index, future, ticket)``, or
+        ``(None, None, None)`` when no candidate from ``start`` on
+        admits.
         """
         denied = 0
-        dispatched: tuple[Optional[int], Optional["Future[RequestTrace]"]]
-        dispatched = (None, None)
+        dispatched: tuple[
+            Optional[int], Optional["Future[RequestTrace]"], Optional[int]
+        ] = (None, None, None)
         for idx in range(start, len(candidates)):
             member = candidates[idx][0]
-            if not member.health.admit():
+            ticket = member.health.admit()
+            if ticket is None:
                 denied += 1
                 continue
             if request.placement is not None:
@@ -620,26 +618,30 @@ class ShardRouter:
                 failed: "Future[RequestTrace]" = Future()
                 failed.set_result(self._failed_trace(request, str(exc)))
                 future = failed
-            dispatched = (idx, future)
+            dispatched = (idx, future, ticket)
             break
         if denied:
             with self._lock:
                 self._dead_skips += denied
         return dispatched
 
-    def _feed_health(self, member: _Member, shard_trace: RequestTrace) -> None:
-        """Turn one member's trace outcome into a health signal.
+    def _feed_health(
+        self, member: _Member, shard_trace: RequestTrace, ticket: int
+    ) -> None:
+        """Turn one attempt's outcome into a verdict; return its ticket.
 
-        ``cancelled`` (a hedge loser) and ``rejected`` (admission shed)
-        are intentional, not member failures — the same categories
-        :func:`~repro.errors.classify_error` exempts. ``degraded``
-        counts as a failure: the member served stale bytes because its
-        computation failed.
+        ``error`` and ``degraded`` (stale bytes served because the
+        computation failed) are real failures. ``cancelled`` (a hedge
+        loser), ``rejected`` (an admission shed or a short-circuit) and
+        ``deadline`` say nothing about the member: no verdict, and the
+        release hands a half-open trial back for the next attempt.
         """
+        health = member.health
         if shard_trace.outcome == "success":
-            member.health.record_success(shard_trace.total_seconds * 1000.0)
-        elif shard_trace.outcome not in ("cancelled", "rejected"):
-            member.health.record_failure()
+            health.record_success()
+        elif shard_trace.outcome in ("error", "degraded"):
+            health.record_failure()
+        health.release(ticket)
 
     def _merge_plan(self, request: PublishRequest) -> tuple[str, MergePlan]:
         """The merge plan for this request's *composed* view, cached.
@@ -691,6 +693,7 @@ class ShardRouter:
         shard: _Shard,
         candidates: Sequence[tuple[_Member, int]],
         future: "Future[RequestTrace]",
+        ticket: int,
         request: PublishRequest,
     ) -> tuple[str, int, RequestTrace, int]:
         """Wait out one shard's answer, failing over along the candidates.
@@ -699,10 +702,10 @@ class ShardRouter:
         take the first ``success``; remember the first ``degraded``
         trace and serve it only after every candidate has been tried;
         otherwise the last failure stands. Every attempted member's
-        outcome feeds its health machine. Failover attempts go through
-        :meth:`_dispatch`, so each one admits (consuming a dead
-        member's probe slot only when actually tried) and records its
-        own placement claim.
+        outcome feeds its health gate. Failover attempts go through
+        :meth:`_dispatch`, so each one admits (taking a dead member's
+        trial only when actually tried) and records its own placement
+        claim.
         """
         degraded: Optional[tuple[str, int, RequestTrace]] = None
         attempt = 0
@@ -710,14 +713,14 @@ class ShardRouter:
         trace = future.result()
         failovers = 0
         while True:
-            self._feed_health(member, trace)
+            self._feed_health(member, trace, ticket)
             if trace.outcome == "success":
                 return member.name, lag, trace, failovers
             if trace.outcome == "degraded" and degraded is None:
                 degraded = (member.name, lag, trace)
             if attempt + 1 >= len(candidates):
                 break
-            next_idx, next_future = self._dispatch(
+            next_idx, next_future, ticket = self._dispatch(
                 shard, candidates, request, start=attempt + 1
             )
             if next_future is None:
@@ -833,23 +836,24 @@ class ShardRouter:
         scattered = []
         for shard in self.shards:
             candidates = self._candidates(shard, request)
-            idx: Optional[int] = None
-            future: Optional["Future[RequestTrace]"] = None
+            idx = future = ticket = None
             if candidates:
-                idx, future = self._dispatch(shard, candidates, request)
+                idx, future, ticket = self._dispatch(
+                    shard, candidates, request
+                )
             if future is None:
                 # Nothing eligible, or every eligible member lost its
-                # probe slot to a concurrent request between enumeration
+                # trial slot to a concurrent request between enumeration
                 # and dispatch.
                 with self._lock:
                     self._no_candidates += 1
-                scattered.append((shard, [], None))
+                scattered.append((shard, [], None, None))
                 continue
             # Trim so the dispatched member leads: _resolve_shard treats
             # candidates[0] as the attempt already in flight.
-            scattered.append((shard, candidates[idx:], future))
+            scattered.append((shard, candidates[idx:], future, ticket))
         resolved: list[tuple[str, int, RequestTrace, int]] = []
-        for shard, candidates, future in scattered:
+        for shard, candidates, future, ticket in scattered:
             if future is None:
                 resolved.append(
                     (
@@ -866,7 +870,7 @@ class ShardRouter:
                 )
                 continue
             resolved.append(
-                self._resolve_shard(shard, candidates, future, request)
+                self._resolve_shard(shard, candidates, future, ticket, request)
             )
         freshness_seen = set()
         failed: Optional[RequestTrace] = None
@@ -962,7 +966,7 @@ class ShardRouter:
     def fleet_metrics(self) -> dict:
         """Replica-resilience counters: routing gates, lag, anti-affinity.
 
-        ``replica_health`` lists every member's health-machine stats
+        ``replica_health`` lists every member's health-gate stats
         (plus its live lag and applier progress); ``anti_affinity``
         summarizes hedge placement — ``hits`` are hedge attempts routed
         to a member no earlier attempt of the same request used,
@@ -1153,7 +1157,7 @@ class ShardRouter:
                 merged = {
                     key: sum(b[key] for b in breakers)
                     for key in ("opened", "closed", "half_opened",
-                                "short_circuits")
+                                "short_circuits", "half_open_trials")
                 }
                 merged["threshold"] = breakers[0]["threshold"]
                 merged["cooldown_ms"] = breakers[0]["cooldown_ms"]

@@ -106,6 +106,7 @@ def test_http_drain_with_hedge_straggler_parked_on_stalled_member():
         scale=1,
         workers=2,
         replicas=1,
+        staleness="strict",
         hedge=_eager_hedge(),
         faults=faults,
     )

@@ -114,22 +114,19 @@ def test_stats_histogram_covers_all_states(breaker, clock):
 
 
 def test_half_open_trial_budget_boundary(clock):
-    # A budget of 3 concurrent probes: exactly 3 allow() calls pass
-    # after the cooldown, the 4th short-circuits until one resolves.
-    breaker = CircuitBreaker(
-        threshold=2, cooldown_ms=100.0, half_open_max=3, clock=clock
-    )
+    # One trial at a time: the first allow() after the cooldown passes,
+    # the next short-circuits until the trial resolves.
+    breaker = CircuitBreaker(threshold=2, cooldown_ms=100.0, clock=clock)
     breaker.record_failure("k")
     breaker.record_failure("k")
     clock.advance(0.2)
-    for _ in range(3):
-        assert breaker.allow("k")
+    assert breaker.allow("k")
     assert breaker.state("k") == "half-open"
-    assert breaker.stats()["half_open_trials"] == 3
+    assert breaker.stats()["half_open_trials"] == 1
     before = breaker.stats()["short_circuits"]
     assert not breaker.allow("k")  # budget spent
     assert breaker.stats()["short_circuits"] == before + 1
-    # One probe succeeding closes the circuit and frees everything.
+    # The trial succeeding closes the circuit and frees everything.
     breaker.record_success("k")
     assert breaker.state("k") == "closed"
     assert breaker.stats()["half_open_trials"] == 0
@@ -137,28 +134,53 @@ def test_half_open_trial_budget_boundary(clock):
 
 
 def test_half_open_probe_completion_refills_the_budget(clock):
-    # With half_open_max=2, a probe that fails both re-opens the
-    # circuit AND releases its trial slot — after the next cooldown the
-    # full budget is available again (no slot leak across re-opens).
-    breaker = CircuitBreaker(
-        threshold=1, cooldown_ms=100.0, half_open_max=2, clock=clock
-    )
+    # A trial that fails re-opens the circuit AND releases its slot —
+    # after the next cooldown the trial is available again (no slot
+    # leak across re-opens).
+    breaker = CircuitBreaker(threshold=1, cooldown_ms=100.0, clock=clock)
     breaker.record_failure("k")
     clock.advance(0.2)
     assert breaker.allow("k")
-    assert breaker.allow("k")
     assert not breaker.allow("k")
-    breaker.record_failure("k")  # one probe fails: straight back to open
+    breaker.record_failure("k")  # the trial fails: straight back to open
     assert breaker.state("k") == "open"
+    assert breaker.stats()["half_open_trials"] == 0
     assert not breaker.allow("k")
     clock.advance(0.2)
-    assert breaker.allow("k")  # fresh cooldown, fresh budget
-    assert breaker.allow("k")
+    assert breaker.allow("k")  # fresh cooldown, fresh trial
     assert not breaker.allow("k")
-    assert breaker.stats()["half_open_trials"] == 2
+    assert breaker.stats()["half_open_trials"] == 1
 
 
-def test_half_open_max_validation():
-    with pytest.raises(ValueError):
-        CircuitBreaker(threshold=1, half_open_max=0)
-    assert CircuitBreaker(threshold=1, half_open_max=1).half_open_max == 1
+def test_released_trial_without_verdict_stays_half_open(clock):
+    """A trial that ends without a verdict (cancelled, shed, deadline)
+    hands its slot back: the circuit stays half-open and the very next
+    request gets the trial, with no second cooldown."""
+    breaker = CircuitBreaker(threshold=1, cooldown_ms=100.0, clock=clock)
+    breaker.record_failure("k")
+    clock.advance(0.2)
+    ticket = breaker.allow("k")
+    assert ticket
+    breaker.release("k", ticket)
+    assert breaker.state("k") == "half-open"
+    assert breaker.stats()["half_open_trials"] == 0
+    assert breaker.stats()["opened"] == 1
+    second = breaker.allow("k")
+    assert second and second != ticket
+    breaker.release("k", ticket)  # a stale ticket frees nothing
+    assert breaker.stats()["half_open_trials"] == 1
+    breaker.release("k", second)
+    assert breaker.stats()["half_open_trials"] == 0
+
+
+def test_ordinary_pass_never_frees_a_trial(clock):
+    breaker = CircuitBreaker(threshold=1, cooldown_ms=100.0, clock=clock)
+    ordinary = breaker.allow("k")  # closed: an ordinary pass
+    breaker.record_failure("k")
+    clock.advance(0.2)
+    trial = breaker.allow("k")
+    breaker.release("k", ordinary)  # the early request ends, no verdict
+    assert breaker.stats()["half_open_trials"] == 1
+    assert not breaker.allow("k")
+    breaker.release("k", trial)
+    assert breaker.allow("k")

@@ -262,6 +262,7 @@ def test_breaker_opens_short_circuits_and_recovers():
         healed = server.submit(_request(db)).result()
         assert healed.outcome == "success"
         assert breaker.state(key) == "closed"
+        assert breaker.stats()["half_open_trials"] == 0
     db.close()
 
 
@@ -302,7 +303,8 @@ def test_no_connections_leak_under_sustained_chaos():
     faults = FaultPlan(FaultSpec(error_rate=0.5, wrong_shape_rate=0.2),
                        seed=11)
     policy = ResiliencePolicy(retries=1, backoff_base_ms=0.1,
-                              backoff_max_ms=0.5)
+                              backoff_max_ms=0.5, breaker_threshold=3,
+                              breaker_cooldown_ms=1.0)
     with ViewServer(
         db.catalog, source=db, workers=3, resilience=policy, faults=faults
     ) as server:
@@ -310,6 +312,9 @@ def test_no_connections_leak_under_sustained_chaos():
         assert len(traces) == 40
         assert all(t.outcome in OUTCOMES for t in traces)
         assert server.pool.outstanding() == 0
+        # Quiescent: no half-open trial is left in flight either.
+        breaker = server.metrics()["resilience"]["breaker"]
+        assert breaker["half_open_trials"] == 0
     db.close()
 
 

@@ -180,3 +180,36 @@ def test_percentile_interpolation():
     assert percentile(values, 0) == 1.0
     assert percentile(values, 100) == 4.0
     assert percentile(values, 50) == 2.5
+
+
+def test_printed_sql_cache_dies_with_evicted_plans():
+    """Each pooled session memoizes printed SQL per query object; that
+    memo must not pin plans the PlanCache has evicted. Serving three
+    times the cache's capacity in distinct plans leaves every session's
+    memo no larger than what the resident plans can reach."""
+    import gc
+
+    from repro.workloads.paper import _FIGURE4
+    from repro.xslt.parser import parse_stylesheet
+
+    capacity = 4
+    db = build_hotel_database(HotelDataSpec(metros=2, hotels_per_metro=2))
+    view = figure1_view(db.catalog)
+    with ViewServer(
+        db.catalog, source=db, workers=1, cache_capacity=capacity
+    ) as server:
+        sizes = []
+        for index in range(3 * capacity):
+            stylesheet = parse_stylesheet(
+                _FIGURE4.replace("<A></A>", f"<A{index}></A{index}>")
+            )
+            trace = server.render(view, stylesheet, strategy="nested-loop")
+            assert trace.error is None
+            gc.collect()
+            (session,) = server.pool._sessions
+            sizes.append(len(session._sql_cache))
+        assert server.plan_cache.stats()["evictions"] == 2 * capacity
+        per_plan = sizes[0]
+        assert per_plan > 0
+        assert max(sizes) <= capacity * per_plan
+    db.close()

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from repro.errors import RequestCancelled, RequestRejected
+from repro.errors import DeadlineExceeded, RequestCancelled, RequestRejected
 from repro.maintenance import WriteTracker
 from repro.resilience import FleetFaultPlan, FleetFaultSpec
 from repro.sharding import PlacementGroup, ReplicaApplier, ReplicaHealth
@@ -51,7 +51,7 @@ def test_one_success_resets_the_streak():
     health.record_failure()
     health.record_failure()
     assert health.state() == "suspect"
-    health.record_success(1.0)
+    health.record_success()
     assert health.state() == "healthy"
     assert health.stats()["consecutive_failures"] == 0
 
@@ -59,8 +59,7 @@ def test_one_success_resets_the_streak():
 def test_dead_member_refuses_until_cooldown_then_probes():
     clock = FakeClock()
     health = ReplicaHealth(
-        suspect_after=1, dead_after=2, cooldown_ms=500.0, probe_max=1,
-        clock=clock,
+        suspect_after=1, dead_after=2, cooldown_ms=500.0, clock=clock,
     )
     health.record_failure()
     health.record_failure()
@@ -68,9 +67,9 @@ def test_dead_member_refuses_until_cooldown_then_probes():
     assert not health.admit()  # cooling down
     clock.advance(0.6)
     assert health.admit()  # the half-open probe slot
-    assert not health.admit()  # probe_max=1: second trial denied
+    assert not health.admit()  # one trial at a time: second denied
     assert health.stats()["probe_denials"] == 1
-    health.record_success(2.0)
+    health.record_success()
     assert health.state() == "healthy"
     assert health.stats()["readmissions"] == 1
     assert health.admit()
@@ -82,8 +81,7 @@ def test_probe_ready_is_read_only():
     actual attempt's outcome releases it."""
     clock = FakeClock()
     health = ReplicaHealth(
-        suspect_after=1, dead_after=2, cooldown_ms=500.0, probe_max=1,
-        clock=clock,
+        suspect_after=1, dead_after=2, cooldown_ms=500.0, clock=clock,
     )
     assert health.probe_ready()  # healthy: always
     health.record_failure()
@@ -97,7 +95,7 @@ def test_probe_ready_is_read_only():
     assert health.stats()["probe_denials"] == 0
     assert health.admit()  # the one real grant
     assert not health.probe_ready()  # slot held by the trial
-    health.record_success(2.0)
+    health.record_success()
     assert health.probe_ready()  # released by the outcome
 
 
@@ -126,24 +124,47 @@ def test_cancelled_and_rejected_outcomes_are_not_health_signals():
     assert health.stats()["failures"] == 0
 
 
-def test_lag_overlay_reports_lagging_without_touching_the_machine():
+def test_ignored_outcomes_hand_a_trial_back():
+    """A trial that ends cancelled, shed or past its deadline is no
+    verdict on the member: the release frees the slot at once, the
+    member stays dead (no readmission, no restarted cooldown), and the
+    next attempt gets the trial."""
+    clock = FakeClock()
+    health = ReplicaHealth(
+        suspect_after=1, dead_after=1, cooldown_ms=500.0, clock=clock
+    )
+    health.record_failure()
+    clock.advance(0.6)
+    for error in (RequestCancelled("hedge race lost"),
+                  RequestRejected("queue full"),
+                  DeadlineExceeded(50.0, 60.0)):
+        ticket = health.admit()
+        assert ticket
+        assert not health.probe_ready()
+        health.record_failure(error)
+        health.release(ticket)
+        assert health.probe_ready()
+        stats = health.stats()
+        assert stats["state"] == "dead"
+        assert stats["half_open_trials"] == 0
+        assert stats["failures"] == 1
+    assert health.stats()["ignored_failures"] == 3
+
+
+def test_lag_watermark_survives_catch_up():
     health = ReplicaHealth()
     health.observe_lag(5)
-    assert health.state() == "healthy"
-    assert health.effective_state(lag_budget=3) == "lagging"
-    assert health.effective_state(lag_budget=5) == "healthy"
-    assert health.effective_state(lag_budget=None) == "healthy"
-    assert health.stats()["max_lag"] == 5
+    assert health.state() == "healthy"  # lag is not a health signal
     health.observe_lag(0)
-    assert health.effective_state(lag_budget=3) == "healthy"
-    assert health.stats()["max_lag"] == 5  # watermark survives
+    assert health.stats()["current_lag"] == 0
+    assert health.stats()["max_lag"] == 5
 
 
 def test_health_validates_thresholds():
     with pytest.raises(ValueError):
         ReplicaHealth(suspect_after=3, dead_after=2)
     with pytest.raises(ValueError):
-        ReplicaHealth(probe_max=0)
+        ReplicaHealth(suspect_after=0, dead_after=2)
 
 
 # ---------------------------------------------------------------------------

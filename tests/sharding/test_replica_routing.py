@@ -139,6 +139,9 @@ def test_crash_windows_route_around_replicas_without_failing_requests():
         assert sum(fleet["fleet_faults"]["injected"].values()) >= 1
         assert router.metrics()["errors"] == 0
         assert router.outstanding() == 0
+        for block in fleet["replica_health"]:
+            for member in block["members"].values():
+                assert member["half_open_trials"] == 0
     finally:
         router.close()
         db.close()
